@@ -27,7 +27,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(".bench_build", "perfbench")
 OUT = os.path.join(".bench_build", "out")
-WORKLOADS = ["sweep_hot", "cold_topology", "serve_mix"]
+WORKLOADS = ["sweep_hot", "cold_topology"]
 RUN_TIMEOUT_S = 170
 
 
@@ -131,13 +131,19 @@ def main():
     rows, ok = [], True
     for w in WORKLOADS:
         for trace in (0, 1):
-            res = json.loads(run_one(w, a.seed, a.seconds, trace, commit,
-                                     capture=True).strip().splitlines()[-1])
+            lines = run_one(w, a.seed, a.seconds, trace, commit,
+                            capture=True).strip().splitlines()
+            res = json.loads(lines[-1])
             ok = ok and res["correct"]
             rows.append((w, trace, "fail_ratio",
                          res["failed"] / res["attempted"], "1"))
             rows += [(w, trace, k, v["value"], v["unit"])
                      for k, v in res["metrics"].items()]
+            if not trace:
+                # The timing tails, request tails included (not metrics).
+                tails = json.loads(lines[-2])["provenance"]["tails"]
+                rows += [(w, trace, "%s p%g (n=%d)" % (k, t["pct"], t["n"]),
+                          t["ms"], "ms") for k, t in tails.items()]
     for w, trace, name, value, unit in rows:
         print("%-14s %-6s %-34s %16.6g %s" % (
             w, "traced" if trace else "", name, value, unit))

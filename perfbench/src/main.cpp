@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -102,6 +101,29 @@ Json read_json(const std::string& path) {
 }
 
 double num(const Json& obj, const char* key) { return obj[key].as_double(); }
+
+/// carbon_simd worker threads, and as many connections: the server pins one
+/// connection per worker, so an extra connection would only measure that
+/// starvation.  One, because with two workers the service capacity of the
+/// 4-vCPU host the benchmark was tuned on swung by 2x between runs a few
+/// minutes apart while the one-thread batch moved by 20%.
+constexpr int kServeWorkers = 1;
+/// Set-ups timed in each segment; setup_s is the median over the run.  A
+/// set-up takes about a millisecond, and how fast a process starts on a
+/// shared host changes from second to second, so the trials are spread
+/// over the run rather than made in one burst.
+constexpr int kSetupTrialsPerSegment = 5;
+/// A service step whose generator-lag p99 exceeds this fell behind: it is
+/// repeated, and stamped invalid if it stays late.
+constexpr double kLagP99LimitMs = 5.0;
+/// The batch slices and fixed-rate steps are spread over this many
+/// interleaved segments, so a slow spell on the host lands on every figure
+/// a little instead of on one of them entirely.
+constexpr int kSegments = 5;
+/// Shares of --seconds: all batch slices together, all low-rate and all
+/// high-rate step segments together, and each max_rps_slo ladder rung.
+constexpr double kBatchShare = 0.3, kLowShare = 0.2, kHighShare = 0.2,
+                 kRungShare = 0.025;
 
 /// Collects the result line's metrics, in order.
 struct Metrics {
@@ -192,13 +214,8 @@ class Placement {
     }
   }
   bool on() const { return on_; }
-  /// Spawn carbon_simd (children inherit the mask) and stay on its CPUs.
-  std::unique_ptr<Daemon> launch(const std::string& simd,
-                                 const std::string& sock, int workers) const {
-    for_work();
-    return std::make_unique<Daemon>(simd, sock, workers);
-  }
   void for_generator() const { set(gen_); }
+  /// Child processes (carbon_simd) inherit the mask.
   void for_work() const { set(work_); }
 
  private:
@@ -209,22 +226,11 @@ class Placement {
   cpu_set_t gen_, work_;
 };
 
-/// One fixed-rate step from its segments: counts pooled, p50 and p99 the
-/// median of the segments' own, so contention on a shared host that hits
-/// one or two segments does not move them.
+/// One fixed-rate step from its segments: counts and latency samples
+/// pooled, so its tail percentile rests on every segment's requests.
 StepResult pool_segments(const std::vector<StepResult>& segs) {
   StepResult pooled = segs.front();
-  std::vector<double> p50, p99;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    if (i > 0) pooled.merge(segs[i]);
-    std::vector<double> v = segs[i].latency_ms;
-    std::sort(v.begin(), v.end());
-    p50.push_back(percentile_sorted(v, 50.0));
-    p99.push_back(percentile_sorted(v, 99.0));
-  }
-  pooled.latency.p50 = median(p50);
-  pooled.latency.tail = median(p99);
-  pooled.latency.tail_pct = 99.0;
+  for (std::size_t i = 1; i < segs.size(); ++i) pooled.merge(segs[i]);
   return pooled;
 }
 
@@ -286,15 +292,12 @@ int selftest(const Json& cfg) {
 int run(const Args& args, const Json& cfg) {
   const Json& wc = cfg["workloads"][args.workload];
   const int pool_size = static_cast<int>(num(wc, "pool"));
-  const Json& split = cfg["split"];
   const double S = args.seconds;
   const bool traced = args.trace == 1;
   const unsigned ncpu = std::thread::hardware_concurrency();
-  const int workers = static_cast<int>(num(cfg, "serve_workers"));
-  const int segments = static_cast<int>(num(cfg, "segments"));
+  const int workers = kServeWorkers;
   const double low_rps = num(wc, "low_rps"), high_rps = num(wc, "high_rps");
   const double p99_limit = num(wc, "p99_limit_ms");
-  const double lag_limit = num(cfg, "lag_p99_limit_ms");
   std::vector<std::string> problems;  // anything making the run not correct
 
   // ---- provenance
@@ -337,25 +340,26 @@ int run(const Args& args, const Json& cfg) {
   const std::vector<GenDeck> pool =
       make_pool(args.workload, args.seed, pool_size);
 
-  // ---- set-up: registry + SimSession in process, carbon_simd to ready
   const std::string sock =
       args.out_dir + "/simd-" + std::to_string(::getpid()) + ".sock";
   const Placement place;
   prov.set("cpu_pinning", place.on());
-  place.for_work();
+
+  // ---- set-up: registry + SimSession in process, carbon_simd to ready
   std::vector<double> setup_local, setup_daemon;
-  const int trials = static_cast<int>(num(cfg, "setup_trials"));
-  for (int t = 0; t < trials; ++t) {
-    const long long t0 = now_ns();
-    {
-      carbon::spice::SimSession session(builtin_models());
-      setup_local.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
+  auto time_setups = [&] {
+    place.for_work();
+    for (int t = 0; t < kSetupTrialsPerSegment; ++t) {
+      const long long t0 = now_ns();
+      {
+        carbon::spice::SimSession session(builtin_models());
+        setup_local.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
+      }
+      Daemon d(args.simd, sock + ".setup", workers);
+      setup_daemon.push_back(d.ready_s());
+      if (d.stop() != 0) problems.push_back("carbon_simd did not drain cleanly");
     }
-    const auto d = place.launch(args.simd, sock, workers);
-    setup_daemon.push_back(d->ready_s());
-    if (d->stop() != 0) problems.push_back("carbon_simd did not drain cleanly");
-  }
-  const double setup_s = median(setup_local) + median(setup_daemon);
+  };
 
   long attempted = 0, failed = 0;
   std::vector<std::string> failures;
@@ -373,17 +377,24 @@ int run(const Args& args, const Json& cfg) {
   const auto registry = builtin_models();
   BatchRunner batch(pool, registry, false, nullptr, nullptr);
   SpanLog spans;
+  // Traced run: the same decks again in a second session with the tracer
+  // attached and phases collected, slice for slice right after the
+  // untraced ones, so the two passes see the same host and their
+  // difference is the tracing overhead.
+  carbon::obs::Tracer tracer;
+  std::optional<BatchRunner> traced_batch;
+  if (traced) traced_batch.emplace(pool, registry, true, &spans, &tracer);
   std::vector<StepResult> steps;  // pooled low, pooled high, ladder rungs
-  // Per-segment figures: the run reports their medians, so one slow spell
-  // on the host moves one segment, not the result.
-  std::vector<double> seg_rate, seg_p50, seg_tail;
+  // Per-segment batch rates: the run reports their median, so one slow
+  // spell on the host moves one segment, not the result.
+  std::vector<double> seg_rate;
   std::vector<StepResult> seg_low, seg_high;
   double low_bytes_per_req = 0.0;
   long server_rss_kb = 0;
-  ServerSnap total;  // server instruments at the end of the service phase
   auto invalid_steps = Json::array();  // generator fell behind on these
   {
-    const auto daemon = place.launch(args.simd, sock, workers);
+    place.for_work();
+    Daemon daemon(args.simd, sock, workers);
     LoadGen gen(sock, workers);
     long cursor = 0;
     long client_ok = 0, client_notok = 0;  // every attempt, kept or not
@@ -396,32 +407,29 @@ int run(const Args& args, const Json& cfg) {
         note(r.sent, r.failed, r.failures);
         client_ok += r.client_ok_docs;
         client_notok += r.client_notok_docs;
-        if (r.lag.tail <= lag_limit || attempt == 2) {
+        if (r.lag.tail <= kLagP99LimitMs || attempt == 2) {
           // Still late after two repeats: kept, but stamped invalid.  The
           // generator's lateness is part of the latency it reports.
-          if (r.lag.tail > lag_limit) invalid_steps.push(name);
+          if (r.lag.tail > kLagP99LimitMs) invalid_steps.push(name);
           return r;
         }
         std::fprintf(stderr, "step %s invalid (generator lag p%.4g %.3f ms); "
                      "repeating it\n", name.c_str(), r.lag.tail_pct, r.lag.tail);
       }
     };
-    for (int k = 0; k < segments; ++k) {
-      place.for_work();
+    for (int k = 0; k < kSegments; ++k) {
+      time_setups();
       const std::size_t from = batch.result().wall_ms.size();
-      batch.run_for(num(split, "batch") * S / segments);
+      batch.run_for(kBatchShare * S / kSegments);
       const std::vector<double> slice(batch.result().wall_ms.begin() + from,
                                       batch.result().wall_ms.end());
       double busy_ms = 0.0;
       for (double w : slice) busy_ms += w;
-      const Summary ss = summarize(slice);
       seg_rate.push_back(1e3 * static_cast<double>(slice.size()) / busy_ms);
-      seg_p50.push_back(ss.p50);
-      seg_tail.push_back(ss.tail);
+      if (traced) traced_batch->run_decks(static_cast<long>(slice.size()));
       place.for_generator();
-      seg_low.push_back(step("low", low_rps, num(split, "low") * S / segments));
-      seg_high.push_back(
-          step("high", high_rps, num(split, "high") * S / segments));
+      seg_low.push_back(step("low", low_rps, kLowShare * S / kSegments));
+      seg_high.push_back(step("high", high_rps, kHighShare * S / kSegments));
     }
     // The daemon's first requests are a repeatable set, so their response
     // size is an exact count.
@@ -437,11 +445,11 @@ int run(const Args& args, const Json& cfg) {
     for (std::size_t i = 0; !traced && pass && i < rungs.size(); ++i) {
       const std::string name = "rung" + std::to_string(i + 1);
       const double rate = rungs.at(i).as_double();
-      StepResult r = step(name, rate, num(split, "rung") * S);
+      StepResult r = step(name, rate, kRungShare * S);
       if (!passes(r)) {
         // One slow spell on the host must not end the ladder: a rung that
         // misses runs again, and the better of the two attempts stands.
-        StepResult again = step(name, rate, num(split, "rung") * S);
+        StepResult again = step(name, rate, kRungShare * S);
         if (passes(again) || again.latency.tail < r.latency.tail) {
           r = std::move(again);
         }
@@ -449,7 +457,7 @@ int run(const Args& args, const Json& cfg) {
       pass = passes(r);
       steps.push_back(std::move(r));
     }
-    total = gen.scrape();
+    const ServerSnap total = gen.scrape();
     long server_notok = 0;
     for (const auto& [k, v] : total.outcomes) {
       if (k != "ok") server_notok += v;
@@ -463,9 +471,10 @@ int run(const Args& args, const Json& cfg) {
                          "/" + std::to_string(server_notok));
     }
     place.for_work();
-    server_rss_kb = daemon->peak_rss_kb();
-    if (daemon->stop() != 0) problems.push_back("carbon_simd did not drain cleanly");
+    server_rss_kb = daemon.peak_rss_kb();
+    if (daemon.stop() != 0) problems.push_back("carbon_simd did not drain cleanly");
   }
+  const double setup_s = median(setup_local) + median(setup_daemon);
   // The exact counts need one whole pass over the pool.
   if (batch.result().timed_decks < pool_size) {
     batch.run_decks(pool_size - batch.result().timed_decks);
@@ -479,13 +488,8 @@ int run(const Args& args, const Json& cfg) {
   }
   prov.set("invalid_steps", std::move(invalid_steps));
 
-  // ---- traced run: the same decks again, fresh session, tracer attached
-  // and phases collected.
-  carbon::obs::Tracer tracer;
-  std::optional<BatchRunner> traced_batch;
   if (traced) {
-    traced_batch.emplace(pool, registry, true, &spans, &tracer);
-    traced_batch->run_decks(br.timed_decks);
+    traced_batch->run_decks(br.timed_decks - traced_batch->result().timed_decks);
     const BatchResult& tb = traced_batch->result();
     note(tb.attempted, tb.failed, tb.failures);
     if (!tb.counts.same_solver_work(br.counts)) {
@@ -495,24 +499,27 @@ int run(const Args& args, const Json& cfg) {
     }
   }
 
-  // max_rps_slo: the rate at which p99 reaches the limit, interpolated in
-  // log-latency between the last step that met it (no failure, no growing
-  // backlog) and the first that did not.  Steps run in ascending rate.
+  // max_rps_slo: the offered rate at which p99 reaches the limit,
+  // interpolated in log-latency between the last step that met it and the
+  // next step, when that one's p99 is over the limit, so the figure does
+  // not jump from rung to rung.  A next step that missed only by a growing
+  // backlog, or that had a failed request, leaves the last rate met.  Steps
+  // run in ascending rate.
   double max_rps = 0.0;
   const StepResult* met = nullptr;
   for (const StepResult& r : steps) {
-    const bool clean = r.failed == 0 && !r.backlog_growing;
-    if (clean && r.latency.tail <= p99_limit) {
+    const bool over = r.latency.tail > p99_limit;
+    if (r.failed == 0 && !r.backlog_growing && !over) {
       met = &r;
-      max_rps = r.achieved_rps;
+      max_rps = r.rate;
       continue;
     }
-    if (clean && met) {
+    if (r.failed == 0 && over && met) {
       const double f = std::log(p99_limit / met->latency.tail) /
                        std::log(r.latency.tail / met->latency.tail);
-      max_rps = met->achieved_rps + f * (r.achieved_rps - met->achieved_rps);
-    } else if (clean) {
-      max_rps = r.achieved_rps * p99_limit / r.latency.tail;  // below ladder
+      max_rps = met->rate + f * (r.rate - met->rate);
+    } else if (r.failed == 0 && over) {
+      max_rps = r.rate * p99_limit / r.latency.tail;  // below the ladder
     }
     break;
   }
@@ -523,6 +530,21 @@ int run(const Args& args, const Json& cfg) {
                args.workload.c_str(),
                static_cast<unsigned long long>(args.seed), args.trace, ncpu);
   print_summary("batch deck wall", deck, "ms");
+  // The tail of each timing: the highest percentile with at least ten
+  // samples beyond it (capped at p99), its value and the sample count.
+  // The request tails are not metrics: a shared host's stalls set them.
+  auto tails = Json::object();
+  auto tail = [&](const std::string& name, const Summary& s) {
+    auto t = Json::object();
+    t.set("pct", s.tail_pct);
+    t.set("ms", s.tail);
+    t.set("n", s.n);
+    tails.set(name, std::move(t));
+  };
+  tail("deck", deck);
+  tail("req.low", steps.at(0).latency);
+  tail("req.high", steps.at(1).latency);
+  prov.set("tails", std::move(tails));
   for (const StepResult& r : steps) {
     std::fprintf(stderr, "  step %-6s %7.1f req/s offered, %7.1f achieved, "
                  "%ld/%ld ok%s\n", r.name.c_str(), r.rate, r.achieved_rps,
@@ -541,12 +563,10 @@ int run(const Args& args, const Json& cfg) {
   };
   if (!traced) {
     m.add("decks_per_s", median(seg_rate), "1/s");
-    m.add("deck_p50_ms", median(seg_p50), "ms");
-    m.add("deck_p99_ms", median(seg_tail), "ms");
+    m.add("deck_p50_ms", deck.p50, "ms");
+    m.add("deck_p99_ms", deck.tail, "ms");
     m.add("req_p50_ms.low", low.latency.p50, "ms");
-    m.add("req_p99_ms.low", low.latency.tail, "ms");
     m.add("req_p50_ms.high", high.latency.p50, "ms");
-    m.add("req_p99_ms.high", high.latency.tail, "ms");
     m.add("max_rps_slo", max_rps, "req/s");
     m.add("setup_s", setup_s, "s");
     m.add("peak_rss_mb", static_cast<double>(server_rss_kb) / 1024.0, "MB");
@@ -585,13 +605,6 @@ int run(const Args& args, const Json& cfg) {
     m.add("serve.response_bytes_per_req", low_bytes_per_req, "B");
     m.add("serve.service_p50_ms", high.server.ok_percentile_ms(50.0), "ms");
     m.add("serve.service_p99_ms", high.server.ok_percentile_ms(99.0), "ms");
-    // Connections are admitted once (keep-alive): the wait is paid at
-    // connect, before the first step.
-    m.add("serve.queue_wait_ms",
-          total.queue_wait_count ? 1e3 * total.queue_wait_sum_s /
-                                       static_cast<double>(total.queue_wait_count)
-                                 : 0.0,
-          "ms");
     for (const StepResult* r : {&low, &high}) {
       const double service_mean =
           r->server.ok_count ? 1e3 * r->server.ok_sum_s /

@@ -179,8 +179,6 @@ ServerSnap ServerSnap::minus(const ServerSnap& b) const {
   }
   d.ok_count -= b.ok_count;
   d.ok_sum_s -= b.ok_sum_s;
-  d.queue_wait_count -= b.queue_wait_count;
-  d.queue_wait_sum_s -= b.queue_wait_sum_s;
   for (auto& [k, v] : d.outcomes) {
     const auto it = b.outcomes.find(k);
     if (it != b.outcomes.end()) v -= it->second;
@@ -194,8 +192,6 @@ void ServerSnap::add(const ServerSnap& d) {
   }
   ok_count += d.ok_count;
   ok_sum_s += d.ok_sum_s;
-  queue_wait_count += d.queue_wait_count;
-  queue_wait_sum_s += d.queue_wait_sum_s;
   for (const auto& [k, v] : d.outcomes) outcomes[k] += v;
 }
 
@@ -473,8 +469,7 @@ ServerSnap LoadGen::scrape() {
   const Json doc = Json::parse(line);
   const Json& m = doc["metrics"];
   ServerSnap s;
-  for (const char* fam : {"carbon_request_seconds", "carbon_queue_wait_seconds",
-                          "carbon_requests_total"}) {
+  for (const char* fam : {"carbon_request_seconds", "carbon_requests_total"}) {
     const Json* f = m.find(fam);
     if (!f) continue;
     const Json& values = (*f)["values"];
@@ -490,9 +485,6 @@ ServerSnap LoadGen::scrape() {
                 ? labels
                 : labels.substr(q + 1, labels.rfind('"') - q - 1);
         s.outcomes[outcome] = static_cast<long>(v["value"].as_int());
-      } else if (std::strcmp(fam, "carbon_queue_wait_seconds") == 0) {
-        s.queue_wait_count = static_cast<long>(v["count"].as_int());
-        s.queue_wait_sum_s = v["sum_s"].as_double();
       } else if (labels == "outcome=\"ok\"") {
         s.ok_count = static_cast<long>(v["count"].as_int());
         s.ok_sum_s = v["sum_s"].as_double();

@@ -51,8 +51,6 @@ struct ServerSnap {
   std::array<long, 29> ok_buckets{};  ///< carbon_request_seconds{ok}
   long ok_count = 0;
   double ok_sum_s = 0.0;
-  long queue_wait_count = 0;  ///< carbon_queue_wait_seconds
-  double queue_wait_sum_s = 0.0;
   std::map<std::string, long> outcomes;  ///< carbon_requests_total{outcome}
 
   ServerSnap minus(const ServerSnap& before) const;
@@ -83,7 +81,7 @@ struct StepResult {
   void merge(const StepResult& o);
 };
 
-/// Generator over two (or more) keep-alive connections to one daemon.
+/// Open-loop generator over keep-alive connections to one daemon.
 class LoadGen {
  public:
   LoadGen(const std::string& sock, int connections);

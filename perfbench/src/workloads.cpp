@@ -90,12 +90,12 @@ GenDeck sram(Rng& rng) {
   return d;
 }
 
-/// Inverter VTC; @p stepped adds a second supply point via .step.
-GenDeck inverter_vtc(Rng& rng, bool stepped) {
+/// Inverter VTC at two supply points (.step).
+GenDeck inverter_vtc(Rng& rng) {
   GenDeck d;
   d.kind = DeckKind::kInverterVtc;
   d.vdd = rng.uniform(0.7, 0.9);
-  d.vdd2 = stepped ? d.vdd + 0.2 : 0.0;
+  d.vdd2 = d.vdd + 0.2;
   const double k = rng.uniform(50e-6, 70e-6);
   d.text = "* CMOS inverter voltage-transfer curve\n.title inverter vtc\n"
            ".param vdd=" + num(d.vdd) + "\n" + fet_models(k) +
@@ -104,16 +104,14 @@ GenDeck inverter_vtc(Rng& rng, bool stepped) {
            "mp out in vdd pdev\n"
            "mn out in 0 ndev\n"
            ".options backend=sparse\n"
-           ".dc vin 0 {vdd} 0.025\n";
-  if (stepped) {
-    d.text += ".step param vdd list " + num(d.vdd) + " " + num(d.vdd2) + "\n";
-  }
-  d.text += ".probe v(out)\n"
-            ".measure dc gain vtc v(in) v(out) vdd={vdd} metric=gain\n"
-            ".measure dc nml  vtc v(in) v(out) vdd={vdd} metric=nml\n"
-            ".measure dc nmh  vtc v(in) v(out) vdd={vdd} metric=nmh\n"
-            ".measure dc vswitch vtc v(in) v(out) vdd={vdd} metric=vswitch\n"
-            ".end\n";
+           ".dc vin 0 {vdd} 0.025\n"
+           ".step param vdd list " + num(d.vdd) + " " + num(d.vdd2) + "\n"
+           ".probe v(out)\n"
+           ".measure dc gain vtc v(in) v(out) vdd={vdd} metric=gain\n"
+           ".measure dc nml  vtc v(in) v(out) vdd={vdd} metric=nml\n"
+           ".measure dc nmh  vtc v(in) v(out) vdd={vdd} metric=nmh\n"
+           ".measure dc vswitch vtc v(in) v(out) vdd={vdd} metric=vswitch\n"
+           ".end\n";
   return d;
 }
 
@@ -280,8 +278,7 @@ std::string fail(const std::string& what, double got) {
 }  // namespace
 
 const std::vector<std::string>& workload_names() {
-  static const std::vector<std::string> names = {"sweep_hot", "cold_topology",
-                                                 "serve_mix"};
+  static const std::vector<std::string> names = {"sweep_hot", "cold_topology"};
   return names;
 }
 
@@ -300,7 +297,7 @@ std::vector<GenDeck> make_pool(const std::string& name, std::uint64_t seed,
         case 0: pool.push_back(ring(rng)); break;
         case 1: pool.push_back(sram(rng)); break;
         case 2:
-        case 3: pool.push_back(inverter_vtc(rng, true)); break;
+        case 3: pool.push_back(inverter_vtc(rng)); break;
         default: pool.push_back(rc_filter(rng)); break;
       }
     }
@@ -320,22 +317,6 @@ std::vector<GenDeck> make_pool(const std::string& name, std::uint64_t seed,
     for (int i = static_cast<int>(pool.size()) - 1; i > 0; --i) {
       std::swap(pool[static_cast<std::size_t>(i)],
                 pool[static_cast<std::size_t>(rng.integer(0, i))]);
-    }
-  } else if (name == "serve_mix") {
-    // Mostly small decks, some FET transients.
-    for (int i = 0; i < size; ++i) {
-      const double u = rng.uniform();
-      // RC takes the middle of the cost distribution, so the median lands
-      // inside one deck class (the VTC and RC costs overlap).
-      if (u < 0.55) {
-        pool.push_back(rc_filter(rng));
-      } else if (u < 0.70) {
-        pool.push_back(inverter_chain_op(rng, rng.integer(1, 2)));
-      } else if (u < 0.85) {
-        pool.push_back(inverter_vtc(rng, false));
-      } else {
-        pool.push_back(sram(rng));
-      }
     }
   } else {
     throw std::invalid_argument("unknown workload '" + name + "'");
@@ -393,9 +374,8 @@ std::string check_result(const GenDeck& d, const carbon::core::Json& doc) {
       return "";
     }
     case DeckKind::kInverterVtc: {
-      const std::size_t want = d.vdd2 > 0.0 ? 2 : 1;
-      if (steps->size() != want) return "wrong number of .step points";
-      for (std::size_t i = 0; i < want; ++i) {
+      if (steps->size() != 2) return "wrong number of .step points";
+      for (std::size_t i = 0; i < 2; ++i) {
         const double vdd = i == 0 ? d.vdd : d.vdd2;
         if (!get(steps->at(i), "vswitch", &a) ||
             !get(steps->at(i), "gain", &b)) {

@@ -1,7 +1,7 @@
 #pragma once
 
 /// @file workloads.h
-/// Seeded deck generators for the three benchmark workloads and the
+/// Seeded deck generators for the benchmark workloads and the
 /// independent output checks every result document must pass.
 ///
 /// The program under test only ever receives the generated deck text; the
