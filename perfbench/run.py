@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload sweep_hot --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload sweep_hot --seed 1 --seconds 50 --trace 0
     python3 perfbench/run.py --all --seed 7919      # every workload, both runs
     python3 perfbench/run.py --selftest             # determinism + oracle checks
 
@@ -109,7 +109,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--seconds", type=float, default=40)
+    ap.add_argument("--seconds", type=float, default=50)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--all", action="store_true",
                     help="every workload, untraced and traced, as one table")
@@ -140,10 +140,13 @@ def main():
             rows += [(w, trace, k, v["value"], v["unit"])
                      for k, v in res["metrics"].items()]
             if not trace:
-                # The timing tails, request tails included (not metrics).
-                tails = json.loads(lines[-2])["provenance"]["tails"]
+                # The timing tails, request tails included, and the service
+                # capacity (not metrics).
+                prov = json.loads(lines[-2])["provenance"]
                 rows += [(w, trace, "%s p%g (n=%d)" % (k, t["pct"], t["n"]),
-                          t["ms"], "ms") for k, t in tails.items()]
+                          t["ms"], "ms") for k, t in prov["tails"].items()]
+                rows.append((w, trace, "max_rps_slo", prov["max_rps_slo"],
+                             "req/s"))
     for w, trace, name, value, unit in rows:
         print("%-14s %-6s %-34s %16.6g %s" % (
             w, "traced" if trace else "", name, value, unit))

@@ -3,7 +3,9 @@
 
 #include "batch.h"
 
+#include <algorithm>
 #include <exception>
+#include <limits>
 
 #include "device/alpha_power.h"
 #include "device/ivmodel.h"
@@ -103,6 +105,7 @@ BatchRunner::BatchRunner(const std::vector<GenDeck>& pool,
         s.collect_phases = collect_phases;
         return s;
       }()) {
+  res_.best_ms.assign(pool_.size(), std::numeric_limits<double>::infinity());
   carbon::obs::TraceAttach attach(tracer_);
   for (int i = 0; i < kWarmupDecks; ++i) run_one(false);
 }
@@ -121,8 +124,9 @@ void BatchRunner::run_decks(long decks) {
 }
 
 void BatchRunner::run_one(bool timed) {
-  const GenDeck& gd =
-      pool_[static_cast<std::size_t>(next_ % static_cast<long>(pool_.size()))];
+  const std::size_t slot =
+      static_cast<std::size_t>(next_ % static_cast<long>(pool_.size()));
+  const GenDeck& gd = pool_[slot];
   ++next_;
   const carbon::obs::PhaseTimes ph0 = session_.phase_times();
   Json doc;
@@ -168,6 +172,7 @@ void BatchRunner::run_one(bool timed) {
   }
   ++res_.timed_decks;
   res_.wall_ms.push_back(static_cast<double>(t1 - t0) * 1e-6);
+  res_.best_ms[slot] = std::min(res_.best_ms[slot], res_.wall_ms.back());
   Ledger& l = res_.ledger;
   l.wall += t1 - t0;
   if (t_render > 0) {

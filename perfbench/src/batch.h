@@ -72,6 +72,10 @@ struct BatchResult {
   long failed = 0;
   std::vector<std::string> failures;  ///< "deck <id>: reason" (first few)
   std::vector<double> wall_ms;        ///< per timed deck, parse..render
+  /// Per pool deck: its fastest timed run [ms] (+inf until it has run).
+  /// The pool cycles in a fixed order, so every repeat of a deck meets the
+  /// same session state; the fastest is the one the host disturbed least.
+  std::vector<double> best_ms;
   WorkCounts counts;  ///< over the first pass of the pool (timed decks)
   Ledger ledger;                      ///< over the timed decks
 };

@@ -222,17 +222,54 @@ void StepResult::merge(const StepResult& o) {
   client_notok_docs += o.client_notok_docs;
   latency_ms.insert(latency_ms.end(), o.latency_ms.begin(),
                     o.latency_ms.end());
+  slot_ms.insert(slot_ms.end(), o.slot_ms.begin(), o.slot_ms.end());
   lag_ms.insert(lag_ms.end(), o.lag_ms.begin(), o.lag_ms.end());
   latency = summarize(latency_ms);
   lag = summarize(lag_ms);
   active_s += o.active_s;
   achieved_rps = static_cast<double>(completed) / std::max(1e-9, active_s);
   response_bytes += o.response_bytes;
-  backlog_growing = backlog_growing || o.backlog_growing;
+  backlog = std::max(backlog, o.backlog);
   server.add(o.server);
   for (const std::string& f : o.failures) {
     if (failures.size() < 20) failures.push_back(f);
   }
+}
+
+namespace {
+
+/// A backlog that grows over a step shows as late requests waiting far
+/// longer than early ones: StepResult::backlog.
+double backlog_growth(const std::vector<double>& slot_ms) {
+  const std::size_t n = slot_ms.size(), q = n / 4;
+  std::vector<double> first, last;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (std::isnan(slot_ms[k])) continue;
+    if (k < q) first.push_back(slot_ms[k]);
+    if (k >= n - q) last.push_back(slot_ms[k]);
+  }
+  return median(last) / (3.0 * median(first) + 2.0);
+}
+
+}  // namespace
+
+StepResult best_of_replays(const std::vector<StepResult>& replays) {
+  StepResult best = replays.front();
+  for (std::size_t i = 1; i < replays.size(); ++i) best.merge(replays[i]);
+  best.slot_ms = replays.front().slot_ms;
+  for (std::size_t i = 1; i < replays.size(); ++i) {
+    for (std::size_t k = 0; k < best.slot_ms.size(); ++k) {
+      const double x = replays[i].slot_ms.at(k);
+      if (std::isnan(best.slot_ms[k]) || x < best.slot_ms[k]) best.slot_ms[k] = x;
+    }
+  }
+  best.latency_ms.clear();
+  for (double x : best.slot_ms) {
+    if (!std::isnan(x)) best.latency_ms.push_back(x);
+  }
+  best.latency = summarize(best.latency_ms);
+  best.backlog = backlog_growth(best.slot_ms);
+  return best;
 }
 
 // ------------------------------------------------------------ LoadGen
@@ -271,17 +308,27 @@ LoadGen::LoadGen(const std::string& sock, int connections) {
 
 LoadGen::~LoadGen() = default;
 
-std::vector<std::string> LoadGen::requests(const std::vector<GenDeck>& pool,
-                                           long first, long count) {
-  std::vector<std::string> out;
-  out.reserve(static_cast<std::size_t>(count));
+std::vector<long> LoadGen::deck_order(const std::vector<GenDeck>& pool,
+                                      long count, std::uint64_t seed) {
+  Rng rng(seed);
   const long size = static_cast<long>(pool.size());
-  for (long k = 0; k < count; ++k) {
+  const long start = static_cast<long>(rng.next() % static_cast<std::uint64_t>(size));
+  std::vector<long> out(static_cast<std::size_t>(count));
+  for (long k = 0; k < count; ++k) out[static_cast<std::size_t>(k)] = (start + k) % size;
+  return out;
+}
+
+std::vector<std::string> LoadGen::requests(const std::vector<GenDeck>& pool,
+                                           const std::vector<long>& decks,
+                                           long first_id) {
+  std::vector<std::string> out;
+  out.reserve(decks.size());
+  for (std::size_t k = 0; k < decks.size(); ++k) {
     auto req = Json::object();
     req.set("type", "run");
-    req.set("id", first + k);
+    req.set("id", first_id + static_cast<long>(k));
     req.set("deadline_ms", 30000);
-    req.set("deck", pool[static_cast<std::size_t>((first + k) % size)].text);
+    req.set("deck", pool[static_cast<std::size_t>(decks[k])].text);
     out.push_back(req.dump() + "\n");
   }
   return out;
@@ -299,17 +346,19 @@ std::vector<long long> LoadGen::arrivals(std::uint64_t seed, long count,
 }
 
 StepResult LoadGen::run_step(const std::string& name,
-                             const std::vector<GenDeck>& pool, long* cursor,
-                             double rate, double seconds, std::uint64_t seed,
-                             SpanLog* spans) {
+                             const std::vector<GenDeck>& pool,
+                             long* id_cursor, double rate, double seconds,
+                             std::uint64_t deck_seed,
+                             std::uint64_t arrival_seed, SpanLog* spans) {
   StepResult res;
   res.name = name;
   res.rate = rate;
   const long n = std::max(1L, std::lround(rate * seconds));
-  const long first = *cursor;
-  *cursor += n;
-  const std::vector<std::string> lines = requests(pool, first, n);
-  const std::vector<long long> due = arrivals(seed, n, seconds);
+  const long first = *id_cursor;
+  *id_cursor += n;
+  const std::vector<long> decks = deck_order(pool, n, deck_seed);
+  const std::vector<std::string> lines = requests(pool, decks, first);
+  const std::vector<long long> due = arrivals(arrival_seed, n, seconds);
   std::vector<std::string> resp(static_cast<std::size_t>(n));
   std::vector<long long> done(static_cast<std::size_t>(n), -1);
   res.lag_ms.reserve(static_cast<std::size_t>(n));
@@ -398,20 +447,19 @@ StepResult LoadGen::run_step(const std::string& name,
 
   // Judge every response against its deck's oracle.
   long long last_done = t_start;
-  std::vector<double> first_q, last_q;
   for (long k = 0; k < n; ++k) {
     const std::size_t ks = static_cast<std::size_t>(k);
     ++res.sent;
     std::string why;
     if (done[ks] < 0) {
       why = "no response (lost)";
+      res.slot_ms.push_back(std::nan(""));
     } else {
       ++res.completed;
       last_done = std::max(last_done, done[ks]);
       const double lat = static_cast<double>(done[ks] - t_start - due[ks]) * 1e-6;
       res.latency_ms.push_back(lat);
-      if (k < n / 4) first_q.push_back(lat);
-      if (k >= n - n / 4) last_q.push_back(lat);
+      res.slot_ms.push_back(lat);
       if (spans) {
         spans->add("request", t_start + due[ks], done[ks] - t_start - due[ks],
                    first + k);
@@ -427,9 +475,7 @@ StepResult LoadGen::run_step(const std::string& name,
         if (!id || !id->is_number() || id->as_int() != first + k) {
           why = "response id does not match the request";
         } else {
-          why = check_result(pool[static_cast<std::size_t>((first + k) %
-                                  static_cast<long>(pool.size()))],
-                             doc);
+          why = check_result(pool[static_cast<std::size_t>(decks[ks])], doc);
         }
       } catch (const std::exception& e) {
         why = std::string("unparseable response: ") + e.what();
@@ -450,10 +496,7 @@ StepResult LoadGen::run_step(const std::string& name,
   res.active_s = static_cast<double>(last_done - t_start) * 1e-9;
   res.achieved_rps =
       static_cast<double>(res.completed) / std::max(1e-9, res.active_s);
-  // A backlog that grows over the step shows as late requests waiting far
-  // longer than early ones.
-  const double m_first = median(first_q), m_last = median(last_q);
-  res.backlog_growing = m_last > 3.0 * m_first + 2.0;
+  res.backlog = backlog_growth(res.slot_ms);
   res.server = scrape().minus(before);
   return res;
 }

@@ -67,19 +67,30 @@ struct StepResult {
   long client_ok_docs = 0;     ///< responses with "ok": true
   long client_notok_docs = 0;  ///< well-formed responses with "ok": false
   std::vector<double> latency_ms;  ///< from due time, per completed request
+  std::vector<double> slot_ms;     ///< the same per request, in order; NaN if lost
   std::vector<double> lag_ms;      ///< generator lateness, per request
   Summary latency;
   Summary lag;
   double active_s = 0.0;           ///< first due .. last response
   double achieved_rps = 0.0;       ///< completed / active_s
   long long response_bytes = 0;
-  bool backlog_growing = false;
+  /// Backlog growth: the median latency of the last quarter of the
+  /// requests over 3x (+2 ms) that of the first quarter; above 1 the
+  /// backlog grew over the step.
+  double backlog = 0.0;
   ServerSnap server;               ///< server-side delta over the step
   std::vector<std::string> failures;
 
   /// Pool another slice of the same fixed-rate step into this one.
   void merge(const StepResult& o);
 };
+
+/// Replays of one request stream (one pair of step seeds) folded into one step:
+/// counts summed, and each request's latency the best of its replays.  A
+/// replay sends the same decks at the same times, so a request's queueing
+/// and service repeat; the host's interference only adds to them.  The
+/// latency summary and the backlog growth rest on these best latencies.
+StepResult best_of_replays(const std::vector<StepResult>& replays);
 
 /// Open-loop generator over keep-alive connections to one daemon.
 class LoadGen {
@@ -89,21 +100,30 @@ class LoadGen {
   LoadGen(const LoadGen&) = delete;
   LoadGen& operator=(const LoadGen&) = delete;
 
-  /// Serialized run requests for a step: request k of the step carries
-  /// pool[(first + k) % size] and the global id first + k.  Deterministic.
+  /// The decks of a step's @p count requests [pool indices]: consecutive
+  /// pool decks, cycled, from a start drawn from @p seed.  The pools are
+  /// ordered so that any run of consecutive decks carries their mix.
+  static std::vector<long> deck_order(const std::vector<GenDeck>& pool,
+                                      long count, std::uint64_t seed);
+  /// Serialized run requests for a step: request k carries
+  /// pool[decks[k]] and the global id first_id + k.  Deterministic.
   static std::vector<std::string> requests(const std::vector<GenDeck>& pool,
-                                           long first, long count);
+                                           const std::vector<long>& decks,
+                                           long first_id);
   /// Seeded arrival offsets [ns]: @p count Poisson arrivals conditioned on
   /// the count, i.e. sorted uniform draws over the step's duration.
   static std::vector<long long> arrivals(std::uint64_t seed, long count,
                                          double seconds);
 
-  /// Run one open-loop step at @p rate for @p seconds, requests drawn from
-  /// @p pool starting at *@p cursor (advanced).  Spans (nullable) record
-  /// gen.send / gen.recv / request per request id.
+  /// Run one open-loop step at @p rate for @p seconds: its decks are drawn
+  /// from @p deck_seed and its arrival times from @p arrival_seed, so the
+  /// same two seeds replay the same request stream; request ids are taken
+  /// from *@p id_cursor (advanced).  Spans (nullable) record gen.send /
+  /// gen.recv / request per request id.
   StepResult run_step(const std::string& name, const std::vector<GenDeck>& pool,
-                      long* cursor, double rate, double seconds,
-                      std::uint64_t seed, SpanLog* spans);
+                      long* id_cursor, double rate, double seconds,
+                      std::uint64_t deck_seed, std::uint64_t arrival_seed,
+                      SpanLog* spans);
 
   /// {"type":"metrics"} over connection 0.
   ServerSnap scrape();

@@ -3,6 +3,7 @@
 
 #include "workloads.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdio>
@@ -314,10 +315,28 @@ std::vector<GenDeck> make_pool(const std::string& name, std::uint64_t seed,
     for (int n : distinct(rng, 2, 10, n_chain)) {
       pool.push_back(inverter_chain_op(rng, n));
     }
-    for (int i = static_cast<int>(pool.size()) - 1; i > 0; --i) {
-      std::swap(pool[static_cast<std::size_t>(i)],
-                pool[static_cast<std::size_t>(rng.integer(0, i))]);
+    // Dealt so that every run of consecutive decks carries the pool's mix
+    // of kinds and sizes: ordered by kind and size, then slot i takes the
+    // deck whose rank matches frac(phase + i / golden ratio), a sequence
+    // that spreads any run of consecutive slots evenly.  A request stream
+    // takes consecutive decks, so its mix does not hang on the seed.
+    std::stable_sort(pool.begin(), pool.end(),
+                     [](const GenDeck& a, const GenDeck& b) {
+                       return std::make_pair(a.kind, a.n) <
+                              std::make_pair(b.kind, b.n);
+                     });
+    const double phase = rng.uniform();
+    std::vector<std::pair<double, std::size_t>> u(pool.size());
+    for (std::size_t i = 0; i < u.size(); ++i) {
+      const double x = phase + 0.6180339887498949 * static_cast<double>(i);
+      u[i] = {x - std::floor(x), i};
     }
+    std::sort(u.begin(), u.end());
+    std::vector<GenDeck> dealt(pool.size());
+    for (std::size_t r = 0; r < u.size(); ++r) {
+      dealt[u[r].second] = std::move(pool[r]);
+    }
+    pool = std::move(dealt);
   } else {
     throw std::invalid_argument("unknown workload '" + name + "'");
   }
