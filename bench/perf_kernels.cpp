@@ -30,47 +30,89 @@ namespace {
 
 using namespace carbon;
 
+// Device-model kernels come in pairs: BM_*Eval times eval() (current and
+// both conductances, what one SPICE stamp costs) and BM_*Current times one
+// drain_current().  vgs sweeps in 1e-4 V steps to defeat any caching.
+void sweep_device(benchmark::State& state, const device::IDeviceModel& m,
+                  bool full_eval, double vg_from, double vg_to, double vds) {
+  const double step = vg_to > vg_from ? 1e-4 : -1e-4;
+  double vg = vg_from;
+  for (auto _ : state) {
+    if (full_eval) {
+      benchmark::DoNotOptimize(m.eval(vg, vds));
+    } else {
+      benchmark::DoNotOptimize(m.drain_current(vg, vds));
+    }
+    vg += step;
+    if (step > 0.0 ? vg > vg_to : vg < vg_to) vg = vg_from;
+  }
+}
+
+void BM_AlphaPowerEval(benchmark::State& state) {
+  const device::AlphaPowerModel m(device::make_fig2_saturating_params());
+  sweep_device(state, m, true, 0.0, 1.0, 0.5);
+}
+BENCHMARK(BM_AlphaPowerEval);
+
+void BM_AlphaPowerCurrent(benchmark::State& state) {
+  const device::AlphaPowerModel m(device::make_fig2_saturating_params());
+  sweep_device(state, m, false, 0.0, 1.0, 0.5);
+}
+BENCHMARK(BM_AlphaPowerCurrent);
+
 void BM_CntfetEval(benchmark::State& state) {
   const device::CntfetModel m(device::make_franklin_cntfet_params(20e-9));
-  double vg = 0.3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.drain_current(vg, 0.5));
-    vg = (vg < 0.7) ? vg + 1e-4 : 0.3;  // defeat any caching
-  }
+  sweep_device(state, m, true, 0.3, 0.7, 0.5);
 }
 BENCHMARK(BM_CntfetEval);
 
-void BM_CntfetEvalWithSeriesR(benchmark::State& state) {
+void BM_CntfetCurrent(benchmark::State& state) {
+  const device::CntfetModel m(device::make_franklin_cntfet_params(20e-9));
+  sweep_device(state, m, false, 0.3, 0.7, 0.5);
+}
+BENCHMARK(BM_CntfetCurrent);
+
+device::CntfetParams series_r_cntfet_params() {
   device::CntfetParams p = device::make_franklin_cntfet_params(20e-9);
   p.r_source_ohm = p.r_drain_ohm = 5.5e3;
-  const device::CntfetModel m(p);
-  double vg = 0.3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.drain_current(vg, 0.5));
-    vg = (vg < 0.7) ? vg + 1e-4 : 0.3;
-  }
+  return p;
+}
+
+void BM_CntfetEvalWithSeriesR(benchmark::State& state) {
+  const device::CntfetModel m(series_r_cntfet_params());
+  sweep_device(state, m, true, 0.3, 0.7, 0.5);
 }
 BENCHMARK(BM_CntfetEvalWithSeriesR);
 
+void BM_CntfetCurrentWithSeriesR(benchmark::State& state) {
+  const device::CntfetModel m(series_r_cntfet_params());
+  sweep_device(state, m, false, 0.3, 0.7, 0.5);
+}
+BENCHMARK(BM_CntfetCurrentWithSeriesR);
+
 void BM_VirtualSourceEval(benchmark::State& state) {
   const device::VirtualSourceModel m(device::make_si_trigate_params());
-  double vg = 0.3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.drain_current(vg, 0.5));
-    vg = (vg < 0.9) ? vg + 1e-4 : 0.3;
-  }
+  sweep_device(state, m, true, 0.3, 0.9, 0.5);
 }
 BENCHMARK(BM_VirtualSourceEval);
 
+void BM_VirtualSourceCurrent(benchmark::State& state) {
+  const device::VirtualSourceModel m(device::make_si_trigate_params());
+  sweep_device(state, m, false, 0.3, 0.9, 0.5);
+}
+BENCHMARK(BM_VirtualSourceCurrent);
+
 void BM_TfetEval(benchmark::State& state) {
   const device::CntTfetModel m(device::make_fig6_tfet_params());
-  double vg = -0.2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.drain_current(vg, -0.5));
-    vg = (vg > -2.0) ? vg - 1e-4 : -0.2;
-  }
+  sweep_device(state, m, true, -0.2, -2.0, -0.5);
 }
 BENCHMARK(BM_TfetEval);
+
+void BM_TfetCurrent(benchmark::State& state) {
+  const device::CntTfetModel m(device::make_fig6_tfet_params());
+  sweep_device(state, m, false, -0.2, -2.0, -0.5);
+}
+BENCHMARK(BM_TfetCurrent);
 
 void BM_CntfetConstruction(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Run the perf-kernel microbenchmarks and record the results (plus the
-# headline speedups: tabulated-vs-direct VTC sweep, parallel Monte Carlo,
-# the dense-vs-sparse Newton-solve and AC-sweep scaling families, the
-# large-array O(N) transient ratios, and the fault-injected ensemble yield
-# sweep) in BENCH_perf.json at the repo root.
+# headline ratios: alpha-power eval() vs one drain_current(),
+# tabulated-vs-direct VTC sweep, parallel Monte Carlo (dropped and flagged
+# on a 1-CPU host), the dense-vs-sparse Newton-solve and AC-sweep scaling
+# families, the large-array O(N) transient ratios, and the fault-injected
+# ensemble yield sweep) in BENCH_perf.json at the repo root.
 # Usage:
 #
 #   bench/run_bench.sh [build_dir] [extra google-benchmark args...]
@@ -216,6 +217,22 @@ if ens:
     n_big = max(ens)
     summary["ensemble_trials_per_s"] = ens[n_big]["trials_per_s"]
     summary["ensemble_thread_efficiency"] = ens[n_big]["thread_efficiency"]
+
+# Exact one-pass device evaluation: eval() (current + both conductances
+# from one dual-number pass) against a single drain_current() call.
+ev = real_time_ns("BM_AlphaPowerEval")
+cur = real_time_ns("BM_AlphaPowerCurrent")
+if ev and cur:
+    summary["alpha_power_eval_ns"] = ev
+    summary["alpha_power_current_ns"] = cur
+    summary["alpha_power_eval_over_current"] = ev / cur
+
+# A parallel speedup measured on one CPU only measures threading overhead:
+# drop the ratios and say so instead of recording a meaningless number.
+if ctx.get("num_cpus") == 1:
+    summary.pop("placement_mc_speedup", None)
+    summary.pop("ensemble_thread_efficiency", None)
+    summary["parallel_ratios_suppressed_single_cpu"] = True
 
 if bench_lib_override:
     summary["benchmark_library_debug_override"] = True

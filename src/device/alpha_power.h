@@ -31,13 +31,20 @@ class AlphaPowerModel final : public IDeviceModel {
   explicit AlphaPowerModel(AlphaPowerParams params);
 
   double drain_current(double vgs, double vds) const override;
+  /// Exact current and conductances from one dual-number pass.
+  DeviceEval eval(double vgs, double vds) const override;
   const std::string& name() const override { return params_.name; }
   double width_normalization() const override { return params_.width; }
 
   const AlphaPowerParams& params() const { return params_; }
 
  private:
+  /// The I-V expression, written once for double and Dual.
+  template <class T>
+  T current(T vgs, T vds) const;
+
   AlphaPowerParams params_;
+  double ss_v_;  ///< subthreshold slope as volts per e-fold
 };
 
 /// The Fig. 2 inverter device: saturating I-V reaching ~0.4 mA at

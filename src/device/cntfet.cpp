@@ -94,6 +94,12 @@ double CntfetModel::drain_current(double vgs, double vds) const {
                                       params_.r_drain_ohm);
 }
 
+DeviceEval CntfetModel::eval(double vgs, double vds) const {
+  return eval_with_series_resistance(*intrinsic_view_, vgs, vds,
+                                     params_.r_source_ohm,
+                                     params_.r_drain_ohm);
+}
+
 CntfetParams make_fig1_cntfet_params() {
   CntfetParams p;
   p.name = "cnt-fet(Eg=0.56eV)";

@@ -80,6 +80,9 @@ class CntfetModel final : public IDeviceModel {
   ~CntfetModel() override;  // out-of-line: IntrinsicView is incomplete here
 
   double drain_current(double vgs, double vds) const override;
+  /// Finite-difference conductances of the intrinsic device, mapped
+  /// through the contact resistances (one series solve, not five).
+  DeviceEval eval(double vgs, double vds) const override;
   const std::string& name() const override { return params_.name; }
   double width_normalization() const override { return diameter_; }
 

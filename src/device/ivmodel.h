@@ -60,9 +60,15 @@ class IDeviceModel {
   virtual double drain_current(double vgs, double vds) const = 0;
 
   /// Current and conductances in one call.  The base implementation falls
-  /// back to central finite differences (five drain_current calls); models
-  /// with analytic or tabulated derivatives override this so a SPICE stamp
-  /// costs a single cheap evaluation.
+  /// back to central finite differences (five drain_current calls); the
+  /// numeric models (CntTfetModel, GnrfetModel, the intrinsic CntfetModel)
+  /// and RealGnrModel use it.  The closed-form models (AlphaPowerModel, LinearFetModel,
+  /// VirtualSourceModel) override it with one dual-number pass of their
+  /// current expression (device/dual.h): exact derivatives, `id` equal to
+  /// drain_current bit for bit.  Series-resistance wrappers map the
+  /// intrinsic eval through the implicit-function theorem
+  /// (eval_with_series_resistance), and TabulatedDeviceModel reads table
+  /// derivatives.
   virtual DeviceEval eval(double vgs, double vds) const;
 
   /// Human-readable model name used in reports.

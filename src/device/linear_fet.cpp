@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "device/dual.h"
 #include "phys/fermi.h"
 #include "phys/require.h"
 
@@ -13,14 +14,26 @@ LinearFetModel::LinearFetModel(LinearFetParams params)
   CARBON_REQUIRE(params_.smooth_v > 0.0, "smoothing must be positive");
 }
 
+template <class T>
+T LinearFetModel::current(T vgs, T vds) const {
+  using phys::softplus;
+  const T ov = params_.smooth_v *
+               softplus((vgs - params_.v_t) / params_.smooth_v);
+  const T g = params_.k_s_per_v * ov + params_.g_off;
+  return g * vds;  // straight lines through the origin
+}
+
 double LinearFetModel::conductance(double vgs) const {
-  const double ov = params_.smooth_v *
-                    phys::softplus((vgs - params_.v_t) / params_.smooth_v);
-  return params_.k_s_per_v * ov + params_.g_off;
+  return current(vgs, 1.0);  // G * 1 V, exact
 }
 
 double LinearFetModel::drain_current(double vgs, double vds) const {
-  return conductance(vgs) * vds;  // straight lines through the origin
+  return current(vgs, vds);
+}
+
+DeviceEval LinearFetModel::eval(double vgs, double vds) const {
+  return eval_dual([this](Dual g, Dual d) { return current(g, d); }, vgs,
+                   vds);
 }
 
 LinearFetParams make_fig2_linear_params() {

@@ -39,6 +39,8 @@ class LinearFetModel final : public IDeviceModel {
   explicit LinearFetModel(LinearFetParams params);
 
   double drain_current(double vgs, double vds) const override;
+  /// Exact current and conductances from one dual-number pass.
+  DeviceEval eval(double vgs, double vds) const override;
   const std::string& name() const override { return params_.name; }
   double width_normalization() const override { return params_.width; }
 
@@ -48,6 +50,10 @@ class LinearFetModel final : public IDeviceModel {
   const LinearFetParams& params() const { return params_; }
 
  private:
+  /// The I-V expression, written once for double and Dual.
+  template <class T>
+  T current(T vgs, T vds) const;
+
   LinearFetParams params_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "device/dual.h"
 #include "device/electrostatics.h"
 #include "device/series_resistance.h"
 #include "phys/constants.h"
@@ -38,7 +39,11 @@ class VirtualSourceModel::IntrinsicView final : public IDeviceModel {
  public:
   explicit IntrinsicView(const VirtualSourceModel& owner) : owner_(owner) {}
   double drain_current(double vgs, double vds) const override {
-    return owner_.intrinsic_current(vgs, vds);
+    return owner_.current(vgs, vds);
+  }
+  DeviceEval eval(double vgs, double vds) const override {
+    return eval_dual([this](Dual g, Dual d) { return owner_.current(g, d); },
+                     vgs, vds);
   }
   const std::string& name() const override { return owner_.name(); }
 
@@ -55,39 +60,51 @@ VirtualSourceModel::VirtualSourceModel(VirtualSourceParams params)
   CARBON_REQUIRE(params_.c_inv > 0.0 && params_.v_inj > 0.0 &&
                      params_.mobility > 0.0,
                  "transport parameters must be positive");
+  const double vt_th = kBoltzmannEv * params_.temperature_k;  // kT/q
+  const double n = params_.ideality();
+  dibl_ = params_.dibl();
+  n_vt_ = n * vt_th;
+  q_scale_ = params_.c_inv * n * vt_th;
+  v_dsat_ = params_.v_inj * params_.gate_length / params_.mobility +
+            2.0 * vt_th;
+  inv_beta_ = 1.0 / params_.beta_sat;
+  const double w_um = params_.width * 1e6;
+  rs_ = params_.rs_ohm_um / w_um;
+  rd_ = params_.rd_ohm_um / w_um;
   intrinsic_view_ = std::make_unique<IntrinsicView>(*this);
 }
 
-double VirtualSourceModel::intrinsic_current(double vgs, double vds) const {
-  if (vds < 0.0) return -intrinsic_current(vgs - vds, -vds);
+template <class T>
+T VirtualSourceModel::current(T vgs, T vds) const {
+  using phys::softplus;
+  using std::pow;
+  if (vds < 0.0) return -current(vgs - vds, -vds);
 
-  const double vt_th = kBoltzmannEv * params_.temperature_k;  // kT/q
-  const double n = params_.ideality();
-  const double vt_eff = params_.v_t0 - params_.dibl() * vds;
+  const T vt_eff = params_.v_t0 - dibl_ * vds;
 
   // Smooth unified charge: exponential below threshold, linear above.
-  const double eta = (vgs - vt_eff) / (n * vt_th);
-  const double q_inv =
-      params_.c_inv * n * vt_th * phys::softplus(eta);  // [C/m^2]
+  const T eta = (vgs - vt_eff) / n_vt_;
+  const T q_inv = q_scale_ * softplus(eta);  // [C/m^2]
 
   // Saturation knee between the mobility-limited linear region and the
   // injection-velocity-limited saturation region.
-  const double v_dsat =
-      params_.v_inj * params_.gate_length / params_.mobility + 2.0 * vt_th;
-  const double x = vds / v_dsat;
-  const double f_sat =
-      x / std::pow(1.0 + std::pow(x, params_.beta_sat),
-                   1.0 / params_.beta_sat);
+  const T x = vds / v_dsat_;
+  const T f_sat = x / pow(1.0 + pow(x, params_.beta_sat), inv_beta_);
 
   return q_inv * params_.v_inj * f_sat * params_.width;
 }
 
+double VirtualSourceModel::intrinsic_current(double vgs, double vds) const {
+  return current(vgs, vds);
+}
+
 double VirtualSourceModel::drain_current(double vgs, double vds) const {
-  const double w_um = params_.width * 1e6;
-  const double rs = params_.rs_ohm_um / w_um;
-  const double rd = params_.rd_ohm_um / w_um;
-  if (rs == 0.0 && rd == 0.0) return intrinsic_current(vgs, vds);
-  return solve_with_series_resistance(*intrinsic_view_, vgs, vds, rs, rd);
+  if (rs_ == 0.0 && rd_ == 0.0) return current(vgs, vds);
+  return solve_with_series_resistance(*intrinsic_view_, vgs, vds, rs_, rd_);
+}
+
+DeviceEval VirtualSourceModel::eval(double vgs, double vds) const {
+  return eval_with_series_resistance(*intrinsic_view_, vgs, vds, rs_, rd_);
 }
 
 VirtualSourceParams make_si_trigate_params(double gate_length_m) {

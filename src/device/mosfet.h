@@ -61,6 +61,9 @@ class VirtualSourceModel final : public IDeviceModel {
   ~VirtualSourceModel() override;  // out-of-line: IntrinsicView is incomplete
 
   double drain_current(double vgs, double vds) const override;
+  /// Exact conductances: one dual-number pass of the intrinsic current at
+  /// the solved internal bias, mapped through the access resistances.
+  DeviceEval eval(double vgs, double vds) const override;
   const std::string& name() const override { return params_.name; }
   double width_normalization() const override { return params_.width; }
 
@@ -70,7 +73,19 @@ class VirtualSourceModel final : public IDeviceModel {
 
  private:
   class IntrinsicView;
+
+  /// The intrinsic I-V expression, written once for double and Dual.
+  template <class T>
+  T current(T vgs, T vds) const;
+
   VirtualSourceParams params_;
+  // Bias-independent constants derived from params_ at construction.
+  double dibl_;      ///< DIBL [V/V]
+  double n_vt_;      ///< ideality x kT/q [V]
+  double q_scale_;   ///< c_inv x ideality x kT/q [C/m^2]
+  double v_dsat_;    ///< saturation-knee voltage [V]
+  double inv_beta_;  ///< 1 / beta_sat
+  double rs_, rd_;   ///< access resistances at this width [Ohm]
   std::unique_ptr<IntrinsicView> intrinsic_view_;
 };
 

@@ -35,6 +35,18 @@ double solve_with_series_resistance(const IDeviceModel& intrinsic, double vgs,
   return phys::brent(f, lo, hi, std::abs(i0) * 1e-10 + 1e-18);
 }
 
+DeviceEval eval_with_series_resistance(const IDeviceModel& intrinsic,
+                                       double vgs, double vds, double rs_ohm,
+                                       double rd_ohm) {
+  if (rs_ohm == 0.0 && rd_ohm == 0.0) return intrinsic.eval(vgs, vds);
+  const double i =
+      solve_with_series_resistance(intrinsic, vgs, vds, rs_ohm, rd_ohm);
+  const DeviceEval in =
+      intrinsic.eval(vgs - i * rs_ohm, vds - i * (rs_ohm + rd_ohm));
+  const double denom = 1.0 + in.gm * rs_ohm + in.gds * (rs_ohm + rd_ohm);
+  return {i, in.gm / denom, in.gds / denom};
+}
+
 SeriesResistanceModel::SeriesResistanceModel(DeviceModelPtr intrinsic,
                                              double rs_ohm, double rd_ohm)
     : intrinsic_(std::move(intrinsic)), rs_(rs_ohm), rd_(rd_ohm) {
@@ -46,6 +58,10 @@ SeriesResistanceModel::SeriesResistanceModel(DeviceModelPtr intrinsic,
 
 double SeriesResistanceModel::drain_current(double vgs, double vds) const {
   return solve_with_series_resistance(*intrinsic_, vgs, vds, rs_, rd_);
+}
+
+DeviceEval SeriesResistanceModel::eval(double vgs, double vds) const {
+  return eval_with_series_resistance(*intrinsic_, vgs, vds, rs_, rd_);
 }
 
 }  // namespace carbon::device

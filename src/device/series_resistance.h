@@ -18,6 +18,17 @@ namespace carbon::device {
 double solve_with_series_resistance(const IDeviceModel& intrinsic, double vgs,
                                     double vds, double rs_ohm, double rd_ohm);
 
+/// Current and conductances with series resistors, from one solve: the
+/// current I comes from solve_with_series_resistance (so `id` equals the
+/// adapter's drain_current bit for bit) and one intrinsic eval() at the
+/// internal bias (vgs - I rs, vds - I (rs + rd)) gives g_m and g_ds.  The
+/// implicit-function theorem on I = intrinsic(vgs - I rs, vds - I (rs+rd))
+/// then gives the external conductances
+///   gm = g_m / D,  gds = g_ds / D,  D = 1 + g_m rs + g_ds (rs + rd).
+DeviceEval eval_with_series_resistance(const IDeviceModel& intrinsic,
+                                       double vgs, double vds, double rs_ohm,
+                                       double rd_ohm);
+
 /// IDeviceModel adapter adding rs/rd around an intrinsic model.
 class SeriesResistanceModel final : public IDeviceModel {
  public:
@@ -25,6 +36,7 @@ class SeriesResistanceModel final : public IDeviceModel {
                         double rd_ohm);
 
   double drain_current(double vgs, double vds) const override;
+  DeviceEval eval(double vgs, double vds) const override;
   const std::string& name() const override { return name_; }
   Polarity polarity() const override { return intrinsic_->polarity(); }
   double width_normalization() const override {

@@ -376,8 +376,9 @@ void Fet::stamp(const StampContext& ctx) const {
     vds_lin = vds_cache_;
     if (ctx.counters) ++ctx.counters->device_bypasses;
   } else {
-    // One eval() gives current and both conductances — a single table
-    // lookup for tabulated models, a finite-difference fallback otherwise.
+    // One eval() gives current and both conductances: a dual-number pass
+    // for the closed-form models, a table lookup for tabulated ones, and
+    // the finite-difference fallback for the numeric models.
     e = model_->eval(vgs, vds);
     if (!e.is_finite()) {
       throw NonFiniteEvalError(

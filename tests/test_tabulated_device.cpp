@@ -12,6 +12,7 @@
 #include "device/alpha_power.h"
 #include "device/cntfet.h"
 #include "device/tabulated.h"
+#include "device/tfet.h"
 #include "phys/interp.h"
 #include "phys/require.h"
 
@@ -103,11 +104,13 @@ TEST(BicubicTable, RejectsBadInput) {
 // -------------------------------------------------------------- DeviceEval
 
 TEST(DeviceEval, BaseClassFallbackMatchesCentralDifferences) {
-  const dev::AlphaPowerModel m(dev::make_fig2_saturating_params());
-  const auto e = m.eval(0.7, 0.5);
-  EXPECT_DOUBLE_EQ(e.id, m.drain_current(0.7, 0.5));
-  EXPECT_NEAR(e.gm, dev::transconductance(m, 0.7, 0.5), 1e-12);
-  EXPECT_NEAR(e.gds, dev::output_conductance(m, 0.7, 0.5), 1e-12);
+  // The numeric TFET has no eval() of its own: it takes the base class's
+  // central-difference fallback.
+  const dev::CntTfetModel m(dev::make_fig6_tfet_params());
+  const auto e = m.eval(-1.0, -0.5);
+  EXPECT_DOUBLE_EQ(e.id, m.drain_current(-1.0, -0.5));
+  EXPECT_NEAR(e.gm, dev::transconductance(m, -1.0, -0.5), 1e-12);
+  EXPECT_NEAR(e.gds, dev::output_conductance(m, -1.0, -0.5), 1e-12);
 }
 
 TEST(DeviceEval, PTypeMirrorChainRule) {
