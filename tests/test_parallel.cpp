@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "fab/devstats.h"
@@ -70,17 +72,30 @@ TEST(ParallelFor, FailFastSkipsUnclaimedTasksAfterThrow) {
   // AND retire the unclaimed remainder without running it (tasks already
   // claimed by other workers still finish).  With 100 instant tasks, a
   // non-fail-fast pool would execute all of them.
+  //
+  // Every other task holds until the pool reports the failure (bounded by a
+  // deadline, so a pool that never reports it fails instead of hanging).
+  // Without the hold the bound below is a race: on a loaded multi-core host
+  // the throwing thread can be descheduled between its throw and the skip
+  // while the other workers run the whole batch.
   auto& pool = phys::ThreadPool::instance();
   std::atomic<int> executed{0};
   std::atomic<bool> thrown{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   EXPECT_THROW(pool.run(100,
                         [&](int) {
                           if (!thrown.exchange(true)) {
                             throw std::runtime_error("first task dies");
                           }
+                          while (!pool.batch_failed() &&
+                                 std::chrono::steady_clock::now() < deadline) {
+                            std::this_thread::yield();
+                          }
                           ++executed;
                         }),
                std::runtime_error);
+  EXPECT_TRUE(pool.batch_failed());
   // At most one in-flight task per worker (plus the caller) can slip in
   // between the throw and the skip.
   EXPECT_LE(executed.load(), pool.num_workers() + 1);
@@ -88,6 +103,7 @@ TEST(ParallelFor, FailFastSkipsUnclaimedTasksAfterThrow) {
   std::atomic<int> ok{0};
   pool.run(50, [&](int) { ++ok; });
   EXPECT_EQ(ok.load(), 50);
+  EXPECT_FALSE(pool.batch_failed());
 }
 
 TEST(ParallelFor, NestedCallExecutesInline) {
