@@ -94,10 +94,6 @@ T VirtualSourceModel::current(T vgs, T vds) const {
   return q_inv * params_.v_inj * f_sat * params_.width;
 }
 
-double VirtualSourceModel::intrinsic_current(double vgs, double vds) const {
-  return current(vgs, vds);
-}
-
 double VirtualSourceModel::drain_current(double vgs, double vds) const {
   if (rs_ == 0.0 && rd_ == 0.0) return current(vgs, vds);
   return solve_with_series_resistance(*intrinsic_view_, vgs, vds, rs_, rd_);

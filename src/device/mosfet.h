@@ -68,8 +68,6 @@ class VirtualSourceModel final : public IDeviceModel {
   double width_normalization() const override { return params_.width; }
 
   const VirtualSourceParams& params() const { return params_; }
-  /// Intrinsic current before access resistance [A].
-  double intrinsic_current(double vgs, double vds) const;
 
  private:
   class IntrinsicView;

@@ -1,6 +1,5 @@
 #include "phys/parallel.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -41,7 +40,6 @@ struct ThreadPool::Impl {
   int pending = 0;  // claimed-but-unfinished + unclaimed tasks
   std::uint64_t generation = 0;
   std::exception_ptr first_error;
-  std::atomic<bool> failed{false};  // set with first_error, read lock-free
   bool stopping = false;
 
   void worker_loop() {
@@ -93,7 +91,6 @@ struct ThreadPool::Impl {
         // claimed still finish and are counted by their own drain loops.
         finished += num_tasks - next;
         next = num_tasks;
-        failed.store(true, std::memory_order_release);
       }
       std::lock_guard<std::mutex> lock(mutex);
       if ((pending -= finished) == 0) batch_done.notify_all();
@@ -145,7 +142,6 @@ void ThreadPool::run(int num_tasks, const std::function<void(int)>& task) {
       impl_->next = 0;
       impl_->num_tasks = num_tasks;
       impl_->pending = num_tasks;
-      impl_->failed.store(false, std::memory_order_relaxed);
       gen = ++impl_->generation;
     }
   }
@@ -166,10 +162,6 @@ void ThreadPool::run(int num_tasks, const std::function<void(int)>& task) {
     impl_->first_error = nullptr;
   }
   if (error) std::rethrow_exception(error);
-}
-
-bool ThreadPool::batch_failed() const {
-  return impl_->failed.load(std::memory_order_acquire);
 }
 
 void parallel_for(long n, const std::function<void(long, long)>& body,

@@ -52,12 +52,6 @@ class ThreadPool {
   /// contracts are unchanged; only the nested call's parallelism is lost.
   void run(int num_tasks, const std::function<void(int)>& task);
 
-  /// True once a task of the active (or most recent) fanned-out batch has
-  /// thrown and the batch has started skipping its unclaimed tasks.  A
-  /// long-running task may poll it to give up early on a doomed batch;
-  /// inline (nested or single-task) runs never set it.
-  bool batch_failed() const;
-
  private:
   explicit ThreadPool(int num_workers);
   struct Impl;

@@ -70,32 +70,28 @@ TEST(ParallelFor, PropagatesExceptions) {
 TEST(ParallelFor, FailFastSkipsUnclaimedTasksAfterThrow) {
   // The first task to execute throws; the batch must rethrow on the caller
   // AND retire the unclaimed remainder without running it (tasks already
-  // claimed by other workers still finish).  With 100 instant tasks, a
-  // non-fail-fast pool would execute all of them.
+  // claimed by other workers still finish).  A non-fail-fast pool would
+  // execute all 100.
   //
-  // Every other task holds until the pool reports the failure (bounded by a
-  // deadline, so a pool that never reports it fails instead of hanging).
-  // Without the hold the bound below is a race: on a loaded multi-core host
-  // the throwing thread can be descheduled between its throw and the skip
-  // while the other workers run the whole batch.
+  // Every other task holds for a while before it counts itself, so a worker
+  // claims at most one task while the thrower is between its throw and the
+  // skip.  Without the hold the bound below is a race: on a loaded
+  // multi-core host the thrower can be descheduled in that window while the
+  // other workers run the whole batch.  The hold only has to outlast that
+  // window; a pool that never skips still runs all 99 (slowly) and fails.
   auto& pool = phys::ThreadPool::instance();
   std::atomic<int> executed{0};
   std::atomic<bool> thrown{false};
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   EXPECT_THROW(pool.run(100,
                         [&](int) {
                           if (!thrown.exchange(true)) {
                             throw std::runtime_error("first task dies");
                           }
-                          while (!pool.batch_failed() &&
-                                 std::chrono::steady_clock::now() < deadline) {
-                            std::this_thread::yield();
-                          }
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(200));
                           ++executed;
                         }),
                std::runtime_error);
-  EXPECT_TRUE(pool.batch_failed());
   // At most one in-flight task per worker (plus the caller) can slip in
   // between the throw and the skip.
   EXPECT_LE(executed.load(), pool.num_workers() + 1);
@@ -103,7 +99,6 @@ TEST(ParallelFor, FailFastSkipsUnclaimedTasksAfterThrow) {
   std::atomic<int> ok{0};
   pool.run(50, [&](int) { ++ok; });
   EXPECT_EQ(ok.load(), 50);
-  EXPECT_FALSE(pool.batch_failed());
 }
 
 TEST(ParallelFor, NestedCallExecutesInline) {
