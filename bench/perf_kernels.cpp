@@ -6,10 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "circuit/cells.h"
 #include "circuit/sram.h"
 #include "circuit/vtc.h"
+#include "core/report.h"
 #include "spice/ac.h"
 #include "spice/smallsignal.h"
 #include "device/alpha_power.h"
@@ -25,6 +29,7 @@
 #include "spice/analyses.h"
 #include "spice/ensemble.h"
 #include "spice/measure.h"
+#include "spice/session.h"
 
 namespace {
 
@@ -660,6 +665,67 @@ void BM_PlacementMonteCarloParallel(benchmark::State& state) {
 BENCHMARK(BM_PlacementMonteCarloParallel)
     ->Arg(1)
     ->Arg(0);  // 0 = default pool width (hardware concurrency)
+
+// Output stage: one double formatted as the JSON writer does (the bytes
+// of printf %.17g), over simulator-like magnitudes, and the compact dump()
+// of a whole session document.
+void BM_FormatDouble(benchmark::State& state) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> mant(-10.0, 10.0);
+  std::uniform_int_distribution<int> exp10(-18, 3);
+  std::vector<double> values(1024);
+  for (double& v : values) v = mant(rng) * std::pow(10.0, exp10(rng));
+  std::string out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    core::append_g17(out, values[i++ & 1023]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FormatDouble);
+
+// examples/decks/inverter_vtc.cir: two supply steps of a 33- and a 41-point
+// VTC with four measures, about 5 KB of compact JSON.
+constexpr const char* kInverterVtcDeck = R"(
+.title inverter vtc
+.param vdd=1.0
+.model ndev alphan(vt=0.2 alpha=1.3 k=60u lambda=0.08 ss=80)
+.model pdev alphap(vt=0.2 alpha=1.3 k=60u lambda=0.08 ss=80)
+vdd vdd 0 {vdd}
+vin in 0 0
+mp out in vdd pdev
+mn out in 0 ndev
+.options backend=sparse
+.dc vin 0 {vdd} 0.025
+.step param vdd 0.8 1.0 0.2
+.probe v(out)
+.measure dc gain vtc v(in) v(out) vdd={vdd} metric=gain
+.measure dc nml  vtc v(in) v(out) vdd={vdd} metric=nml
+.measure dc nmh  vtc v(in) v(out) vdd={vdd} metric=nmh
+.measure dc vswitch vtc v(in) v(out) vdd={vdd} metric=vswitch
+.end
+)";
+
+void BM_JsonDumpSessionDoc(benchmark::State& state) {
+  spice::SimSession session;
+  const core::Json doc = session.run_deck_text(kInverterVtcDeck);
+  if (!doc["ok"].as_bool()) {
+    state.SkipWithError("inverter_vtc deck failed");
+    return;
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = doc.dump();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.counters["doc_bytes"] = static_cast<double>(bytes);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_JsonDumpSessionDoc);
 
 void BM_GateLevelSubtract(benchmark::State& state) {
   logic::CellTiming timing;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run the perf-kernel microbenchmarks and record the results (plus the
-# headline ratios: alpha-power eval() vs one drain_current(),
+# headline ratios: alpha-power eval() vs one drain_current(), the JSON
+# output stage (one formatted double, one session-document dump()),
 # tabulated-vs-direct VTC sweep, parallel Monte Carlo (dropped and flagged
 # on a 1-CPU host), the dense-vs-sparse Newton-solve and AC-sweep scaling
 # families, the large-array O(N) transient ratios, and the fault-injected
@@ -226,6 +227,14 @@ if ev and cur:
     summary["alpha_power_eval_ns"] = ev
     summary["alpha_power_current_ns"] = cur
     summary["alpha_power_eval_over_current"] = ev / cur
+
+# Output stage: one %.17g-formatted double and the compact dump() of the
+# inverter_vtc session document.
+for name, key in (("BM_FormatDouble", "format_double_ns"),
+                  ("BM_JsonDumpSessionDoc", "json_dump_session_doc_ns")):
+    t = real_time_ns(name)
+    if t:
+        summary[key] = t
 
 # A parallel speedup measured on one CPU only measures threading overhead:
 # drop the ratios and say so instead of recording a meaningless number.

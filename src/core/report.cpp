@@ -1,5 +1,6 @@
 #include "core/report.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -8,6 +9,14 @@
 #include <stdexcept>
 
 namespace carbon::core {
+
+void append_g17(std::string& out, double v) {
+  // The longest %.17g form: sign, 17 digits, '.', "e-308" -> 24 bytes.
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
 
 Json& Json::set(std::string key, Json value) {
   members_.emplace_back(std::move(key), std::move(value));
@@ -19,9 +28,11 @@ Json& Json::push(Json value) {
   return *this;
 }
 
-std::string Json::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+/// Append the JSON string literal of @p s (quotes included) to @p out.
+void append_escaped(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
   for (unsigned char c : s) {
     switch (c) {
@@ -34,100 +45,77 @@ std::string Json::escape(const std::string& s) {
       case '\t': out += "\\t"; break;
       default:
         if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          out += "\\u00";
+          out.push_back(kHex[c >> 4]);
+          out.push_back(kHex[c & 0xF]);
         } else {
           out.push_back(static_cast<char>(c));
         }
     }
   }
   out.push_back('"');
-  return out;
 }
 
+}  // namespace
+
 void Json::write(std::string& out, int indent, int depth) const {
-  const std::string pad(indent > 0 ? static_cast<std::size_t>(indent) *
-                                         (static_cast<std::size_t>(depth) + 1)
-                                   : 0,
-                        ' ');
-  const std::string close_pad(
-      indent > 0 ? static_cast<std::size_t>(indent) *
-                       static_cast<std::size_t>(depth)
-                 : 0,
-      ' ');
-  const char* nl = indent > 0 ? "\n" : "";
-  const char* colon = indent > 0 ? ": " : ":";
   switch (kind_) {
     case Kind::kNull:
       out += "null";
-      break;
+      return;
     case Kind::kBool:
       out += bool_ ? "true" : "false";
-      break;
+      return;
     case Kind::kInt: {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%lld",
-                    static_cast<long long>(int_));
-      out += buf;
-      break;
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, int_).ptr);
+      return;
     }
-    case Kind::kDouble: {
+    case Kind::kDouble:
       if (std::isfinite(double_)) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", double_);
-        out += buf;
+        append_g17(out, double_);
       } else {
         // JSON has no NaN/Inf literal; a failed-trial metric serializes as
         // null rather than producing an unparseable document.
         out += "null";
       }
-      break;
-    }
+      return;
     case Kind::kString:
-      out += escape(string_);
+      append_escaped(out, string_);
+      return;
+    case Kind::kArray:
+    case Kind::kObject:
       break;
-    case Kind::kArray: {
-      if (items_.empty()) {
-        out += "[]";
-        break;
-      }
-      out.push_back('[');
-      bool first = true;
-      for (const Json& item : items_) {
-        if (!first) out.push_back(',');
-        first = false;
-        out += nl;
-        out += pad;
-        item.write(out, indent, depth + 1);
-      }
-      out += nl;
-      out += close_pad;
-      out.push_back(']');
-      break;
-    }
-    case Kind::kObject: {
-      if (members_.empty()) {
-        out += "{}";
-        break;
-      }
-      out.push_back('{');
-      bool first = true;
-      for (const auto& [key, value] : members_) {
-        if (!first) out.push_back(',');
-        first = false;
-        out += nl;
-        out += pad;
-        out += escape(key);
-        out += colon;
-        value.write(out, indent, depth + 1);
-      }
-      out += nl;
-      out += close_pad;
-      out.push_back('}');
-      break;
+  }
+  const bool is_array = kind_ == Kind::kArray;
+  if (is_array ? items_.empty() : members_.empty()) {
+    out += is_array ? "[]" : "{}";
+    return;
+  }
+  // Pretty output puts every element on its own line, indented one level
+  // deeper than the closing bracket.
+  const std::size_t step = indent > 0 ? static_cast<std::size_t>(indent) : 0;
+  const std::size_t close_pad = step * static_cast<std::size_t>(depth);
+  auto new_line = [&](std::size_t pad) {
+    if (step == 0) return;
+    out.push_back('\n');
+    out.append(pad, ' ');
+  };
+  out.push_back(is_array ? '[' : '{');
+  const std::size_t n = is_array ? items_.size() : members_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) out.push_back(',');
+    new_line(close_pad + step);
+    if (is_array) {
+      items_[i].write(out, indent, depth + 1);
+    } else {
+      append_escaped(out, members_[i].first);
+      out += step > 0 ? ": " : ":";
+      members_[i].second.write(out, indent, depth + 1);
     }
   }
+  new_line(close_pad);
+  out.push_back(is_array ? ']' : '}');
 }
 
 std::string Json::dump(int indent) const {
@@ -334,19 +322,21 @@ class JsonReader {
         tok.find('.') == std::string::npos &&
         tok.find('e') == std::string::npos &&
         tok.find('E') == std::string::npos;
-    try {
-      if (integral) {
-        std::size_t used = 0;
-        const long long v = std::stoll(tok, &used);
-        if (used == tok.size()) return Json(v);
+    if (integral && tok != "-0") {  // "-0" is dump()'s negative zero
+      long long v = 0;
+      const auto r = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+      if (r.ec == std::errc() && r.ptr == tok.data() + tok.size()) {
+        return Json(v);
       }
-      std::size_t used = 0;
-      const double v = std::stod(tok, &used);
-      if (used != tok.size()) fail("malformed number: " + tok);
-      return Json(v);
-    } catch (const std::exception&) {
+    }
+    // from_chars, unlike stod, reads subnormals (5e-324 is what dump()
+    // writes for the smallest one) and ignores the C locale.
+    double v = 0.0;
+    const auto r = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (r.ec != std::errc() || r.ptr != tok.data() + tok.size()) {
       fail("malformed number: " + tok);
     }
+    return Json(v);
   }
 
   const std::string& s_;

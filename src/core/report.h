@@ -16,9 +16,15 @@
 
 namespace carbon::core {
 
+/// Append @p v to @p out as the bytes of printf `%.17g`, via `std::to_chars`
+/// (17 significant digits: every finite double round-trips bit-identically).
+/// Non-finite values are the caller's business (Json writes them as null).
+void append_g17(std::string& out, double v);
+
 /// A minimal JSON value: null, bool, number (integers kept exact, doubles
-/// emitted with %.17g so they round-trip bit-identically), string, array,
-/// object.  Objects preserve insertion order, so reports diff cleanly.
+/// emitted as the bytes of printf `%.17g`, via `std::to_chars`, so they
+/// round-trip bit-identically), string, array, object.  Objects preserve
+/// insertion order, so reports diff cleanly.
 /// Build with the fluent set()/push() and serialize with dump():
 ///
 ///   auto j = Json::object();
@@ -48,14 +54,12 @@ class Json {
   /// with that many spaces per level.
   std::string dump(int indent = 0) const;
 
-  /// JSON string escaping of @p s (quotes included).
-  static std::string escape(const std::string& s);
-
   /// Parse a JSON document (the reader side of dump(); tests round-trip
   /// carbon_sim output through it instead of string-grepping).  Accepts
   /// exactly one top-level value with optional surrounding whitespace;
-  /// numbers without '.', 'e' or '-0' fraction parse as kInt when they fit
-  /// an int64, as kDouble otherwise; \uXXXX escapes decode to UTF-8.
+  /// numbers without '.' or 'e' parse as kInt when they fit an int64, as
+  /// kDouble otherwise ("-0" is the double -0.0, so dump() round-trips it);
+  /// \uXXXX escapes decode to UTF-8.
   /// Throws std::runtime_error with a character offset on malformed input.
   static Json parse(const std::string& text);
 

@@ -209,9 +209,9 @@ class EnsembleRunner {
 };
 
 /// Machine-readable reports (core::Json; objects keep field order, doubles
-/// round-trip via %.17g).  These are the structured siblings of
-/// SolveFailure::to_string() — a yield dashboard or CI gate consumes the
-/// JSON, a human reads the prose.
+/// round-trip as the bytes of printf `%.17g`, via `std::to_chars`).  These
+/// are the structured siblings of SolveFailure::to_string() — a yield
+/// dashboard or CI gate consumes the JSON, a human reads the prose.
 core::Json to_json(const SolveFailure& failure);
 core::Json to_json(const NewtonStats& stats);
 core::Json to_json(const TransientStats& stats);

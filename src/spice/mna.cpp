@@ -190,9 +190,23 @@ void MnaSystem::stamp_all(const Circuit& ckt, StampContext& ctx) {
   ctx.capture_rhs = nullptr;
   obs::PhaseTimes* const ph = ctx.phases;
   const auto& elements = ckt.elements();
+  // Traced runs time each run of consecutive dynamic elements (the
+  // device-eval phase) with one clock read per mode transition; static-RHS
+  // sources stay in stamp_ns as assembly bookkeeping.  A per-element timer
+  // pair would cost as much as a cheap eval.
+  long long run_t0 = -1;  // start of the open dynamic run, -1 = none
   for (size_t e = 0; e < elements.size(); ++e) {
     const StampMode mode = stamp_mode_[e];
     if (mode == StampMode::kSkip) continue;  // fully in the static baseline
+    if (ph && (mode == StampMode::kDynamic) != (run_t0 >= 0)) {
+      const long long t = obs::now_ns();
+      if (run_t0 >= 0) {
+        ph->eval_ns += t - run_t0;
+        run_t0 = -1;
+      } else {
+        run_t0 = t;
+      }
+    }
     ctx.suppress_jac = mode == StampMode::kStaticRhs;
     ctx.jac_slots = jac_slots_.data() + jac_off_[e];
     ctx.rhs_slots = rhs_slots_.data() + rhs_off_[e];
@@ -204,16 +218,9 @@ void MnaSystem::stamp_all(const Circuit& ckt, StampContext& ctx) {
     ctx.debug_jac_count = jac_off_[e + 1] - jac_off_[e];
     ctx.debug_rhs_count = rhs_off_[e + 1] - rhs_off_[e];
 #endif
-    if (ph && mode == StampMode::kDynamic) {
-      // Dynamic elements are the device-eval phase; static-RHS sources and
-      // baseline elements are assembly bookkeeping and stay in stamp_ns.
-      const long long t0 = obs::now_ns();
-      elements[e]->stamp(ctx);
-      ph->eval_ns += obs::now_ns() - t0;
-    } else {
-      elements[e]->stamp(ctx);
-    }
+    elements[e]->stamp(ctx);
   }
+  if (run_t0 >= 0) ph->eval_ns += obs::now_ns() - run_t0;
   ctx.jac_slots = nullptr;
   ctx.rhs_slots = nullptr;
   ctx.suppress_jac = false;

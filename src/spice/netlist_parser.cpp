@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
+#include "core/report.h"
 #include "device/alpha_power.h"
 #include "device/cntfet.h"
 #include "device/linear_fet.h"
@@ -650,10 +650,10 @@ StepSpec parse_step_card(const RawCard& card) {
   const int n = static_cast<int>(
                     std::floor((stop - start) / incr + 1e-9)) + 1;
   if (n > 10000) fail(card.line_no, card.text, ".step grid over 10000 points");
-  char buf[40];
   for (int k = 0; k < n; ++k) {
-    std::snprintf(buf, sizeof buf, "%.17g", start + k * incr);
-    step.values.push_back(buf);
+    std::string value;
+    core::append_g17(value, start + k * incr);
+    step.values.push_back(std::move(value));
   }
   return step;
 }
@@ -944,16 +944,14 @@ device::DeviceModelPtr resolve_model(
     }
     return it->second;
   }
-  std::string key;
-  {
-    std::ostringstream os;
-    os << mc->name << '|' << mc->type;
-    for (const auto& [k, v] : eval_model_options(*mc, env)) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.17g", v);
-      os << '|' << k << '=' << buf;
-    }
-    key = os.str();
+  std::string key = mc->name;
+  key += '|';
+  key += mc->type;
+  for (const auto& [k, v] : eval_model_options(*mc, env)) {
+    key += '|';
+    key += k;
+    key += '=';
+    core::append_g17(key, v);
   }
   if (memo) {
     const auto it = memo->find(key);

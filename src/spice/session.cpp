@@ -687,6 +687,10 @@ SimSession::CacheEntry& SimSession::entry_for(const Deck& deck,
   }
   *cache_hit = false;
   ++cache_misses_;
+  // Build first: a deck that fails to instantiate (say, an unknown model)
+  // must leave the cache as it was, not an entry without a circuit.
+  ModelMemo memo;
+  std::unique_ptr<Circuit> circuit = instantiate(deck, registry_, {}, &memo);
   const std::size_t capacity =
       static_cast<std::size_t>(std::max(1, opts_.cache_capacity));
   while (cache_.size() >= capacity && !lru_.empty()) {
@@ -697,7 +701,8 @@ SimSession::CacheEntry& SimSession::entry_for(const Deck& deck,
   CacheEntry& entry = cache_[deck.topology_signature];
   lru_.push_front(deck.topology_signature);
   entry.lru_pos = lru_.begin();
-  entry.circuit = instantiate(deck, registry_, {}, &entry.model_memo);
+  entry.circuit = std::move(circuit);
+  entry.model_memo = std::move(memo);
   return entry;
 }
 

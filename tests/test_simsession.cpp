@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/report.h"
+#include "device/alpha_power.h"
 #include "phys/cancel.h"
 #include "spice/session.h"
 
@@ -239,6 +242,44 @@ TEST(SimSession, ExplicitCancelRendersCancelledDocument) {
   const Json doc = session.run_deck_text(divider_deck(1), &token);
   ASSERT_FALSE(doc["ok"].as_bool());
   EXPECT_EQ(doc["error"]["type"].as_string(), "cancelled");
+}
+
+TEST(SimSession, FailedInstantiateLeavesNoCacheEntry) {
+  // The deck parses against a registry that knows nfet/pfet, then runs on
+  // a session whose registry does not: instantiate throws on every run,
+  // and a later run must throw again instead of finding a half-built
+  // cache entry without a circuit.
+  sp::ModelRegistry reg;
+  auto nfet = std::make_shared<carbon::device::AlphaPowerModel>(
+      carbon::device::make_fig2_saturating_params());
+  reg["nfet"] = nfet;
+  reg["pfet"] = std::make_shared<carbon::device::PTypeMirror>(nfet);
+  const sp::Deck deck = sp::parse_deck(
+      "vdd vdd 0 1\n"
+      "vin in 0 0.5\n"
+      "mp out in vdd pfet\n"
+      "mn out in 0 nfet\n"
+      ".op\n"
+      ".end\n",
+      reg);
+
+  sp::SimSession session;
+  for (int run = 0; run < 2; ++run) {
+    try {
+      session.run_deck(deck);
+      ADD_FAILURE() << "run " << run << " should have thrown";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown device model"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(session.cache_entries(), 0u);
+  }
+  // The session is still usable for decks it can build.
+  const Json ok = session.run_deck_text(divider_deck(2));
+  ASSERT_TRUE(ok["ok"].as_bool()) << ok.dump(1);
+  EXPECT_EQ(session.cache_entries(), 1u);
+  EXPECT_EQ(session.cache_stats().evictions, 0);
 }
 
 // ---------------------------------------------------------------------------
